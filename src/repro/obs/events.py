@@ -9,14 +9,19 @@ position the lock was appended at.
 Events do **not** carry their own clock — the
 :class:`~repro.obs.tracer.Tracer` stamps each emit with the virtual time
 and a global sequence number, and serializes the pair together with the
-payload (see :meth:`~repro.obs.tracer.Stamped.to_record`).  The flat
-record dictionaries are what the JSONL log, the exporters, and the
-explain replay consume.
+payload into one flat record (:func:`event_record`).  The flat record
+dictionaries are what the JSONL log, the exporters, the bus frames, and
+the explain replay consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import copy
+import dataclasses
+import typing
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.decisions import (  # noqa: F401  (re-exported)
     RULE_BY_REASON,
@@ -474,6 +479,81 @@ EVENT_TYPES: dict[str, type] = {
 }
 
 
+def _field_converter(hint) -> Callable | None:
+    """Copy rule for one field type; ``None`` copies the value as is."""
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if args and dataclasses.is_dataclass(args[0]):
+            flatten = _flattener(args[0])
+            return lambda values: tuple([flatten(v) for v in values])
+        return tuple
+    if hint is dict or origin is dict:
+        return copy.deepcopy
+    return None
+
+
+def _build_flattener(cls: type) -> Callable[[object], dict]:
+    """One precomputed ``asdict`` equivalent for ``cls``.
+
+    The field names, one ``attrgetter`` over all of them, and the few
+    fields that need a converter (holder tuples, other tuples, dicts)
+    are worked out once per class, so flattening an event is a getter
+    call, a ``dict(zip(...))`` and one call per non-scalar field.
+    """
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    getter = attrgetter(*names)
+    if len(names) == 1:  # a one-name attrgetter returns the bare value
+        (only,) = names
+        base = lambda event: {only: getter(event)}  # noqa: E731
+    else:
+        base = lambda event: dict(zip(names, getter(event)))  # noqa: E731
+    converted = tuple(
+        (name, conv)
+        for name in names
+        if (conv := _field_converter(hints[name])) is not None
+    )
+    if not converted:
+        return base
+
+    def flatten(event) -> dict:
+        payload = base(event)
+        for name, conv in converted:
+            payload[name] = conv(payload[name])
+        return payload
+
+    return flatten
+
+
+#: event class -> its flattener, filled on first use of each class.
+_FLATTENERS: dict[type, Callable[[object], dict]] = {}
+
+
+def _flattener(cls: type) -> Callable[[object], dict]:
+    flatten = _FLATTENERS.get(cls)
+    if flatten is None:
+        flatten = _FLATTENERS[cls] = _build_flattener(cls)
+    return flatten
+
+
 def event_payload(event) -> dict:
-    """Flat JSON-ready payload of one event (without stamp fields)."""
-    return asdict(event)
+    """Flat JSON-ready payload of one event (without stamp fields).
+
+    Equal to ``dataclasses.asdict(event)`` in value, value type and
+    JSON text, with a fresh copy of every mutable part.
+    """
+    return _flattener(type(event))(event)
+
+
+def event_record(seq: int, t: float, event) -> dict:
+    """The flat ``{seq, t, kind, **payload}`` record of one stamped
+    event: the JSONL line, bus frame and flight-dump entry shape.
+
+    A payload field named like a stamp key overwrites the stamp:
+    ``wait.edge`` records carry the park ``seq``, not the emit number,
+    in every record format.
+    """
+    record = {"seq": seq, "t": t, "kind": event.kind}
+    record.update(_flattener(type(event))(event))
+    return record

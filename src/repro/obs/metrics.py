@@ -24,11 +24,15 @@ Three pieces live here:
   the zero-overhead byte-identity guarantee of :data:`NULL_TRACER`
   holds unchanged.
 
-Performance note: like :class:`~repro.obs.tracer.Tracer`, nothing on
-the emit path flattens events through ``event_payload`` — the feeder
-reads attributes directly and the flight recorder stores the event
-object, flattening lazily at dump time.  The metrics-over-tracer factor
-is pinned by ``benchmarks/test_obs_overhead.py``.
+Performance note: the tee pays per emit only for what it feeds.  The
+feeder reads event attributes directly, the flight recorder stores the
+event object and flattens at dump time, and a
+:class:`~repro.server.bridge.BusTracer` sink flattens an event only
+when a bus subscription covers its kind.  The tee never polls the
+gauge sampler on emit: its owner calls :meth:`MetricsTracer.poll_gauges`
+(the service once per engine batch, so the sampler-fed gauges read as
+of the end of the last batch).  The metrics-over-tracer factor is
+pinned by ``benchmarks/test_obs_overhead.py``.
 """
 
 from __future__ import annotations
@@ -69,10 +73,6 @@ LATENCY_BUCKETS: tuple[float, ...] = (
 
 #: Breaker states as gauge values (ordering matches escalation).
 BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
-
-#: Cached verdict for sampler keys no gauge family consumes.
-_IGNORED_SAMPLE = object()
-
 
 def _fmt(value: float) -> str:
     """Prometheus sample value formatting (integers without the .0)."""
@@ -134,7 +134,11 @@ class _Family:
                 f"{self.name}: expected labels {self.label_names}, "
                 f"got {labels!r}"
             )
-        return tuple(str(v) for v in labels)
+        for value in labels:
+            if type(value) is not str:
+                return tuple(str(v) for v in labels)
+        # Already a tuple of exact strings (every emit-path caller).
+        return labels if type(labels) is tuple else tuple(labels)
 
     def _sorted_children(self) -> list[tuple[tuple, object]]:
         return sorted(self._children.items())
@@ -726,7 +730,6 @@ class EventMetrics:
             buckets=LATENCY_BUCKETS,
         )
         # Pairing state for derived observations.
-        self._gauge_targets: dict[str, tuple | object] = {}
         self._defer_since: dict[tuple, float] = {}
         self._park_since: dict[int, tuple[float, str]] = {}
         self._retry_counts: dict[int, int] = {}
@@ -772,39 +775,28 @@ class EventMetrics:
             handler(t, event)
 
     def sample_gauges(self, samples: dict[str, float]) -> None:
-        """Consume one sampler poll (same dict the Tracer gauges get).
-
-        Hot path (once per emit): the first poll resolves each sample
-        key to a ``(child-map, label-key)`` write target; later polls
-        write straight to the child under the registry lock.
-        """
-        targets = self._gauge_targets
-        lock = self.registry._lock
+        """Consume one sampler poll (the dict a Tracer's gauges get)."""
         for name, value in samples.items():
-            target = targets.get(name)
-            if target is None:
-                target = targets[name] = self._resolve_gauge(name)
-            if target is _IGNORED_SAMPLE:
-                continue
-            children, key = target
-            with lock:
-                children[key] = value
+            slot = self._gauge_slot(name)
+            if slot is not None:
+                gauge, labels = slot
+                gauge.set(value, labels)
 
-    def _resolve_gauge(self, name: str):
-        """Map one sampler key onto its gauge child slot (or ignore)."""
+    def _gauge_slot(self, name: str) -> tuple[Gauge, tuple] | None:
+        """The gauge child one sampler key feeds (``None``: ignored)."""
         if name == "parked":
-            return self.parked_gauge._children, ()
+            return self.parked_gauge, ()
         if name == "inflight":
-            return self.inflight_gauge._children, ()
+            return self.inflight_gauge, ()
         if name == "live":
-            return self.live_gauge._children, ()
+            return self.live_gauge, ()
         if name == "locks":
-            return self.locks_gauge._children, ()
+            return self.locks_gauge, ()
         if name.startswith("locks."):
-            return self.locks_by_shard._children, (name[6:],)
+            return self.locks_by_shard, (name[6:],)
         if name.startswith("queue."):
-            return self.queue_depth._children, (name[6:],)
-        return _IGNORED_SAMPLE
+            return self.queue_depth, (name[6:],)
+        return None
 
     def observe_latency(self, seconds: float, outcome: str) -> None:
         """Service hook: one wall-clock submit-to-terminal sample."""
@@ -952,10 +944,11 @@ class MetricsTracer:
     """Enabled tracer that feeds metrics and forwards to sink tracers.
 
     Sinks stamp events exactly as they would standalone (each keeps its
-    own sequence counter and clock binding), so wrapping a
-    :class:`~repro.obs.tracer.Tracer` in a tee leaves its records
-    byte-identical.  The fault injector's crash-offset bump propagates
-    to every sink through the :attr:`offset` property.
+    own sequence counter, clock and sampler binding), so wrapping a
+    :class:`~repro.obs.tracer.Tracer` in a tee leaves its records and
+    series byte-identical.  The fault injector's crash-offset bump
+    propagates to every sink through the :attr:`offset` property.
+    Gauges reach the registry only through :meth:`poll_gauges`.
     """
 
     enabled = True
@@ -972,7 +965,6 @@ class MetricsTracer:
         self._offset = 0.0
         self._clock: Callable[[], float] = lambda: 0.0
         self._sampler: Callable[[], dict[str, float]] | None = None
-        self._last_sample: dict[str, float] = {}
         self._seq = itertools.count()
 
     @property
@@ -993,14 +985,25 @@ class MetricsTracer:
     def bind_sampler(
         self, sampler: Callable[[], dict[str, float]] | None
     ) -> None:
-        # The tee polls the (possibly O(live-work)) sampler once per
-        # emit and shares the result: sinks get a view of the poll this
-        # emit already took, not the raw sampler — same per-emit gauge
-        # cadence in their series banks at half the sampling cost.
+        """Keep the sampler for :meth:`poll_gauges`; sinks get it raw.
+
+        The tee itself never polls on emit.  A sink that polls per emit
+        (a recording :class:`~repro.obs.tracer.Tracer`) therefore does
+        so exactly as it would standalone, and its series stay
+        byte-identical.
+        """
         self._sampler = sampler
-        shared = None if sampler is None else (lambda: self._last_sample)
         for sink in self.sinks:
-            sink.bind_sampler(shared)
+            sink.bind_sampler(sampler)
+
+    def poll_gauges(self) -> None:
+        """Fold one sampler poll into the registry's gauges.
+
+        The owner decides the cadence: the service polls once per
+        engine batch, so gauges read as of the end of the last batch.
+        """
+        if self._sampler is not None:
+            self.metrics.sample_gauges(self._sampler())
 
     @property
     def now(self) -> float:
@@ -1012,10 +1015,6 @@ class MetricsTracer:
         recorder = self.recorder
         if recorder is not None:
             recorder.append(next(self._seq), t, event)
-        sampler = self._sampler
-        if sampler is not None:
-            self._last_sample = sampler()
-            self.metrics.sample_gauges(self._last_sample)
         for sink in self.sinks:
             sink.emit(event)
 

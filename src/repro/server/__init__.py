@@ -9,8 +9,9 @@ scripting a closed simulation:
 * :mod:`repro.server.bus` — the typed in-process event bus with topic
   subscriptions (exact, ``prefix.*``, and ``*`` patterns);
 * :mod:`repro.server.bridge` — :class:`BusTracer`, a
-  :class:`repro.obs.Tracer`-compatible adapter that republishes every
-  decision event onto the bus, topic = the event's ``kind``;
+  :class:`repro.obs.Tracer`-compatible adapter that publishes every
+  decision event on the bus, topic = the event's ``kind``, building a
+  frame only for a subscription that covers it;
 * :mod:`repro.server.protocol` — the JSON-lines wire protocol
   (requests, responses, event frames) with canonical encoding so a
   scripted session is byte-deterministic;

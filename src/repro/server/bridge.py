@@ -3,51 +3,51 @@
 :class:`BusTracer` satisfies the :class:`repro.obs.Tracer` protocol
 (``enabled`` / ``emit`` / ``bind_clock`` / ``bind_sampler``), so it
 slots into :func:`repro.scheduler.manager.make_manager` exactly where
-a recording tracer would — but instead of banking series it flattens
-each event to the same ``{seq, t, kind, **payload}`` record shape the
-JSONL exporter writes, publishes it on the bus under
-``topic = event.kind``, and keeps a bounded ring of recent records for
-the ``STATS``/reconnect paths.
+a recording tracer would — but instead of keeping events it publishes
+each one on the bus under ``topic = event.kind`` as the same
+``{seq, t, kind, **payload}`` record the JSONL exporter writes.  The
+record is built only when some subscription covers the topic: with
+nobody listening an emit costs a stamp and the bus counters, nothing
+is flattened, and nothing is retained (the service's flight recorder
+is the one recent-events ring).
 
 Stamping uses the *virtual* clock the manager binds, so the record
 stream of a fixed-seed scripted session is byte-identical run to run —
-wall time never leaks into the frames.
+wall time never leaks into the frames.  Every emit draws a sequence
+number, listened to or not, so a subscriber that joins mid-session
+sees ``seq`` continue the per-event numbering of the whole stream.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Callable
 
-from repro.obs.events import event_payload
+from repro.obs.events import event_record
 from repro.server.bus import EventBus
 
 
 class BusTracer:
     """Tracer-compatible adapter that republishes events to a bus.
 
-    The sampler hook is accepted but unused: gauge polling exists for
-    the series bank, and polling per emit would only add jitter to the
-    event stream clients see.  Thread-safety matches the parallel
+    The sampler hook is accepted but unused: gauges are polled by the
+    metrics registry, and polling per emit would only add jitter to
+    the event stream clients see.  Thread-safety matches the parallel
     manager's needs — ``emit`` may be called from shard workers, and
-    every structure touched here is safe under concurrent append
-    (atomic counter, bounded deque, locked bus).
+    every structure touched here is safe under concurrent use (atomic
+    counter, locked bus).
     """
 
     enabled = True
 
-    def __init__(self, bus: EventBus, retain: int = 1024) -> None:
+    def __init__(self, bus: EventBus) -> None:
         self.bus = bus
-        #: Ring of the most recent records (newest last).
-        self.recent: deque[dict] = deque(maxlen=retain)
         #: Mirrors :attr:`repro.obs.Tracer.offset`: added to every
         #: clock reading so stamps stay monotone across manager
         #: incarnations under the fault injector.
         self.offset = 0.0
         self._clock: Callable[[], float] = lambda: 0.0
         self._seq = itertools.count()
-        self.emitted = 0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -58,13 +58,12 @@ class BusTracer:
         """Accepted for protocol compatibility; gauges are not bridged."""
 
     def emit(self, event) -> None:
-        """Flatten, stamp, retain, and publish one decision event."""
-        record = {
-            "seq": next(self._seq),
-            "t": self._clock() + self.offset,
-            "kind": event.kind,
-        }
-        record.update(event_payload(event))
-        self.recent.append(record)
-        self.emitted += 1
-        self.bus.publish(event.kind, record)
+        """Stamp one decision event; flatten and publish it only when
+        a subscription covers its kind."""
+        seq = next(self._seq)
+        t = self._clock() + self.offset
+        bus = self.bus
+        kind = event.kind
+        subs = bus.route(kind)
+        if subs:
+            bus.deliver(subs, kind, event_record(seq, t, event))

@@ -19,6 +19,11 @@ Delivery is synchronous on the publisher's thread: subscribers get the
 record in publish order, and a subscriber that raises is counted in
 :attr:`EventBus.dropped` rather than poisoning the publisher (the
 manager's engine thread must never die to a slow client callback).
+
+A publisher whose record is costly to build splits :meth:`publish`
+into its two halves: :meth:`EventBus.route` counts the publish and
+returns the covering subscriptions, and only a non-empty route is
+worth building a record for and handing to :meth:`EventBus.deliver`.
 """
 
 from __future__ import annotations
@@ -66,13 +71,17 @@ class EventBus:
     Subscription state is copy-on-write: ``publish`` snapshots the
     subscriber tuple under the lock and calls the callbacks outside it,
     so a callback may itself subscribe or unsubscribe (and publishers
-    on different threads never serialize on subscriber work).
+    on different threads never serialize on subscriber work).  The
+    covering subscriptions of each topic are cached until the next
+    subscribe or unsubscribe.
     """
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
         self._tokens = itertools.count(1)
         self._subs: tuple[Subscription, ...] = ()
+        #: topic -> covering subscriptions, reset on every change.
+        self._routes: dict[str, tuple[Subscription, ...]] = {}
         self.counters = BusCounters()
 
     def subscribe(
@@ -89,6 +98,7 @@ class EventBus:
         )
         with self._mutex:
             self._subs = (*self._subs, sub)
+            self._routes = {}
         return sub.token
 
     def unsubscribe(self, token: int) -> bool:
@@ -97,6 +107,7 @@ class EventBus:
             kept = tuple(s for s in self._subs if s.token != token)
             changed = len(kept) != len(self._subs)
             self._subs = kept
+            self._routes = {}
         return changed
 
     def publish(self, topic: str, record: dict) -> int:
@@ -106,24 +117,37 @@ class EventBus:
         and counted (:attr:`BusCounters.dropped`) — the publisher is
         the simulation engine thread and must stay alive.
         """
+        return self.deliver(self.route(topic), topic, record)
+
+    def route(self, topic: str) -> tuple[Subscription, ...]:
+        """Count one publish on ``topic``; return the subscriptions
+        covering it (empty when nobody would receive the record)."""
         with self._mutex:
-            subs = self._subs
             counters = self.counters
             counters.published += 1
             counters.by_topic[topic] = counters.by_topic.get(topic, 0) + 1
-        delivered = 0
+            subs = self._routes.get(topic)
+            if subs is None:
+                subs = self._routes[topic] = tuple(
+                    s for s in self._subs if s.covers(topic)
+                )
+        return subs
+
+    def deliver(
+        self, subs: tuple[Subscription, ...], topic: str, record: dict
+    ) -> int:
+        """Hand ``record`` to the subscriptions :meth:`route` returned."""
+        delivered = dropped = 0
         for sub in subs:
-            if not sub.covers(topic):
-                continue
             try:
                 sub.callback(topic, record)
                 delivered += 1
             except Exception:
-                with self._mutex:
-                    counters.dropped += 1
-        if delivered:
+                dropped += 1
+        if subs:
             with self._mutex:
-                counters.delivered += delivered
+                self.counters.delivered += delivered
+                self.counters.dropped += dropped
         return delivered
 
     @property

@@ -139,7 +139,8 @@ class ProcessLockingService:
             sinks = sinks + (JournalTracer(self.store.journal),)
         # The tee feeds the metrics registry and the flight ring, then
         # forwards to the bus bridge, which stamps exactly as it would
-        # standalone (byte-identical wire frames).
+        # standalone (byte-identical wire frames).  Nothing on the emit
+        # path polls gauges; _post_drain does, once per batch.
         self.tracer = MetricsTracer(
             metrics=self.metrics,
             sinks=sinks,
@@ -246,6 +247,8 @@ class ProcessLockingService:
                 seed=self.config.seed,
                 tracer=self.tracer,
             )
+        # A scrape before the first batch still sees the gauges.
+        self.tracer.poll_gauges()
         self.max_backlog = repro_config.serve_backlog(
             self.config.max_backlog
         )
@@ -581,6 +584,9 @@ class ProcessLockingService:
             self.plane.after_drain(
                 self.manager, self._is_terminal, self._cancelled
             )
+        # One gauge poll per batch, before any response reads the
+        # registry: gauges are as of the end of the last engine batch.
+        self.tracer.poll_gauges()
         self._settle_latencies()
         for builder, fut in self._deferred:
             if not fut.set_running_or_notify_cancel():
